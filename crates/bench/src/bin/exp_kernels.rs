@@ -1,9 +1,12 @@
-//! Kernel-throughput baseline: GB/s for every GF(2^8) dispatch tier.
+//! Kernel-throughput baseline: GB/s for every GF(2^8) and crypto
+//! dispatch tier.
 //!
 //! Measures each supported [`Kernel`] tier (scalar, SWAR, and — when the
 //! host has them — SSSE3/AVX2) on the three slice operations the archive
 //! hot paths use: `mul_slice`, `mul_add_slice`, and the fused
-//! `mul_add_rows`, at 4 KiB / 64 KiB / 1 MiB buffers. Emits
+//! `mul_add_rows`; and each supported crypto tier (scalar, and — when the
+//! host has them — SHA-NI/AES-NI) on `sha256` and `aes256_ctr`. Every
+//! cell runs at 4 KiB / 64 KiB / 1 MiB buffers. Emits
 //! `BENCH_kernels.json` so future PRs diff kernel throughput against a
 //! pinned baseline instead of a feeling.
 //!
@@ -17,6 +20,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use aeon_bench::{f2, reference_payload, CliArgs, Json, Table};
+use aeon_crypto::aes::Aes;
+use aeon_crypto::kernel::{AesCtrKernel, Sha256Kernel};
+use aeon_crypto::Sha256;
 use aeon_gf::slice::{mul_add_rows_on, Gf256MulTable};
 use aeon_gf::{Gf256, Kernel};
 
@@ -74,7 +80,7 @@ fn main() {
 
     let mut cells: Vec<Cell> = Vec::new();
     let mut out = Table::new(
-        "GF(2^8) kernel throughput (GB/s, min-of-N)",
+        "GF(2^8) and crypto kernel throughput (GB/s, min-of-N)",
         &["kernel", "op", "size", "GB/s"],
     );
     for kernel in Kernel::supported() {
@@ -116,6 +122,36 @@ fn main() {
             });
         }
     }
+    let aes = Aes::new_256(&[0xA5; 32]);
+    let iv = [0x5A; 16];
+    for kernel in Sha256Kernel::supported() {
+        for size in SIZES {
+            let gbs = best_gbs(size, budget, reps, || {
+                let mut h = Sha256::with_kernel(kernel);
+                h.update(black_box(&src[..size]));
+                black_box(h.finalize());
+            });
+            cells.push(Cell {
+                kernel: kernel.name(),
+                op: "sha256",
+                size,
+                gbs,
+            });
+        }
+    }
+    for kernel in AesCtrKernel::supported() {
+        for size in SIZES {
+            let gbs = best_gbs(size, budget, reps, || {
+                kernel.apply_ctr(&aes, &iv, black_box(&mut dst[..size]));
+            });
+            cells.push(Cell {
+                kernel: kernel.name(),
+                op: "aes256_ctr",
+                size,
+                gbs,
+            });
+        }
+    }
     for c in &cells {
         out.row(&[
             c.kernel.to_string(),
@@ -138,7 +174,9 @@ fn main() {
     let ratio =
         lookup("swar", "mul_add_slice", 64 * 1024) / lookup("scalar", "mul_add_slice", 64 * 1024);
     let active = Kernel::active().tier().name();
-    println!("active kernel: {active}");
+    let active_sha256 = Sha256Kernel::active().name();
+    let active_aes = AesCtrKernel::active().name();
+    println!("active kernel: {active}; sha256: {active_sha256}; aes-ctr: {active_aes}");
     println!(
         "swar/scalar mul_add_slice @64KiB: {}x (target >= 2x)",
         f2(ratio)
@@ -149,6 +187,8 @@ fn main() {
         ("quick".into(), Json::Num(if quick { 1.0 } else { 0.0 })),
         ("rows".into(), Json::Num(row_count as f64)),
         ("active_kernel".into(), Json::Str(active.into())),
+        ("active_sha256".into(), Json::Str(active_sha256.into())),
+        ("active_aes_ctr".into(), Json::Str(active_aes.into())),
         (
             "tiers".into(),
             Json::Arr(

@@ -47,6 +47,9 @@ pub trait Aead: core::fmt::Debug + Send + Sync {
     fn open(&self, nonce: &[u8], aad: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, AuthError>;
 }
 
+/// Zero bytes that pad Poly1305 input to a 16-byte boundary.
+static PAD16: [u8; 16] = [0; 16];
+
 /// ChaCha20-Poly1305 AEAD (RFC 8439).
 #[derive(Debug, Clone)]
 pub struct ChaCha20Poly1305 {
@@ -69,13 +72,9 @@ impl ChaCha20Poly1305 {
     fn compute_tag(poly_key: &[u8; 32], aad: &[u8], ct: &[u8]) -> [u8; 16] {
         let mut mac = Poly1305::new(poly_key);
         mac.update(aad);
-        if !aad.len().is_multiple_of(16) {
-            mac.update(&vec![0u8; 16 - aad.len() % 16]);
-        }
+        mac.update(&PAD16[..(16 - aad.len() % 16) % 16]);
         mac.update(ct);
-        if !ct.len().is_multiple_of(16) {
-            mac.update(&vec![0u8; 16 - ct.len() % 16]);
-        }
+        mac.update(&PAD16[..(16 - ct.len() % 16) % 16]);
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(&(ct.len() as u64).to_le_bytes());
         mac.finalize()
@@ -116,11 +115,13 @@ impl Aead for ChaCha20Poly1305 {
 ///
 /// The 64-byte master key splits into an encryption half and a MAC half.
 /// The MAC covers `nonce || aad_len || aad || ciphertext`, giving the same
-/// binding properties as a standard AEAD.
+/// binding properties as a standard AEAD. Both halves are expanded once
+/// in [`Aes256CtrHmac::new`]: the AES key schedule and the HMAC state
+/// after absorbing its ipad/opad blocks.
 #[derive(Debug, Clone)]
 pub struct Aes256CtrHmac {
-    enc_key: [u8; 32],
-    mac_key: [u8; 32],
+    aes: Aes,
+    mac: HmacSha256,
 }
 
 impl Aes256CtrHmac {
@@ -128,11 +129,11 @@ impl Aes256CtrHmac {
     /// encryption and MAC subkeys via HKDF.
     pub fn new(key: &[u8; 32]) -> Self {
         let okm = crate::hkdf::derive(b"aeon-aes-ctr-hmac", key, b"subkeys", 64);
-        let mut enc_key = [0u8; 32];
-        let mut mac_key = [0u8; 32];
-        enc_key.copy_from_slice(&okm[..32]);
-        mac_key.copy_from_slice(&okm[32..]);
-        Aes256CtrHmac { enc_key, mac_key }
+        let enc_key: &[u8; 32] = okm[..32].try_into().expect("32-byte subkey");
+        Aes256CtrHmac {
+            aes: Aes::new_256(enc_key),
+            mac: HmacSha256::new(&okm[32..]),
+        }
     }
 
     fn iv_from_nonce(nonce: &[u8]) -> [u8; 16] {
@@ -142,7 +143,7 @@ impl Aes256CtrHmac {
     }
 
     fn compute_tag(&self, nonce: &[u8], aad: &[u8], ct: &[u8]) -> [u8; 32] {
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(nonce);
         mac.update(&(aad.len() as u64).to_be_bytes());
         mac.update(aad);
@@ -159,7 +160,7 @@ impl Aead for Aes256CtrHmac {
     fn seal(&self, nonce: &[u8], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         assert_eq!(nonce.len(), 12, "nonce must be 12 bytes");
         let mut out = plaintext.to_vec();
-        Aes::new_256(&self.enc_key).apply_ctr(&Self::iv_from_nonce(nonce), &mut out);
+        self.aes.apply_ctr(&Self::iv_from_nonce(nonce), &mut out);
         let tag = self.compute_tag(nonce, aad, &out);
         out.extend_from_slice(&tag);
         out
@@ -175,7 +176,7 @@ impl Aead for Aes256CtrHmac {
             return Err(AuthError);
         }
         let mut out = ct.to_vec();
-        Aes::new_256(&self.enc_key).apply_ctr(&Self::iv_from_nonce(nonce), &mut out);
+        self.aes.apply_ctr(&Self::iv_from_nonce(nonce), &mut out);
         Ok(out)
     }
 }

@@ -1,5 +1,7 @@
 //! AES-128/256 block cipher (FIPS 197) and CTR mode.
 
+use crate::kernel::AesCtrKernel;
+
 const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut acc = 0u8;
     while b != 0 {
@@ -81,7 +83,9 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x
 /// ```
 #[derive(Debug, Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Round keys `0..=rounds`; AES-128 leaves the last four unused.
+    round_keys: [[u8; 16]; 15],
+    rounds: usize,
 }
 
 /// Convenience alias constructor set for AES-256.
@@ -92,6 +96,7 @@ impl Aes {
     pub fn new_128(key: &[u8; 16]) -> Self {
         Aes {
             round_keys: expand_key(key, 4, 10),
+            rounds: 10,
         }
     }
 
@@ -99,12 +104,18 @@ impl Aes {
     pub fn new_256(key: &[u8; 32]) -> Self {
         Aes {
             round_keys: expand_key(key, 8, 14),
+            rounds: 14,
         }
     }
 
     /// Number of rounds (10 for AES-128, 14 for AES-256).
     pub fn rounds(&self) -> usize {
-        self.round_keys.len() - 1
+        self.rounds
+    }
+
+    /// The expanded key: `rounds() + 1` round keys in FIPS 197 byte order.
+    pub(crate) fn round_keys(&self) -> &[[u8; 16]] {
+        &self.round_keys[..=self.rounds]
     }
 
     /// Encrypts a single 16-byte block.
@@ -143,27 +154,33 @@ impl Aes {
 
     /// Applies CTR-mode keystream to `data` in place, starting from the
     /// given 16-byte initial counter block (big-endian increment of the
-    /// low 32 bits).
+    /// low 32 bits), on the process-wide [`AesCtrKernel::active`] tier.
     ///
     /// Encryption and decryption are the same operation.
     pub fn apply_ctr(&self, iv: &[u8; 16], data: &mut [u8]) {
-        let mut counter = *iv;
-        for chunk in data.chunks_mut(16) {
-            let ks = self.encrypt_block(&counter);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-            // Increment low 32 bits big-endian.
-            let mut c = u32::from_be_bytes(counter[12..16].try_into().expect("4"));
-            c = c.wrapping_add(1);
-            counter[12..16].copy_from_slice(&c.to_be_bytes());
-        }
+        AesCtrKernel::active().apply_ctr(self, iv, data);
     }
 }
 
-fn expand_key(key: &[u8], nk: usize, rounds: usize) -> Vec<[u8; 16]> {
+/// The scalar CTR tier: one [`Aes::encrypt_block`] per counter block. The
+/// oracle every other tier must match.
+pub(crate) fn ctr_scalar(aes: &Aes, iv: &[u8; 16], data: &mut [u8]) {
+    let mut counter = *iv;
+    for chunk in data.chunks_mut(16) {
+        let ks = aes.encrypt_block(&counter);
+        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+            *b ^= k;
+        }
+        // Increment low 32 bits big-endian.
+        let mut c = u32::from_be_bytes(counter[12..16].try_into().expect("4"));
+        c = c.wrapping_add(1);
+        counter[12..16].copy_from_slice(&c.to_be_bytes());
+    }
+}
+
+fn expand_key(key: &[u8], nk: usize, rounds: usize) -> [[u8; 16]; 15] {
     let nw = 4 * (rounds + 1);
-    let mut w = vec![[0u8; 4]; nw];
+    let mut w = [[0u8; 4]; 60];
     for (i, word) in w.iter_mut().take(nk).enumerate() {
         word.copy_from_slice(&key[4 * i..4 * i + 4]);
     }
@@ -184,15 +201,13 @@ fn expand_key(key: &[u8], nk: usize, rounds: usize) -> Vec<[u8; 16]> {
             w[i][j] = w[i - nk][j] ^ temp[j];
         }
     }
-    w.chunks_exact(4)
-        .map(|c| {
-            let mut rk = [0u8; 16];
-            for (i, word) in c.iter().enumerate() {
-                rk[4 * i..4 * i + 4].copy_from_slice(word);
-            }
-            rk
-        })
-        .collect()
+    let mut round_keys = [[0u8; 16]; 15];
+    for (rk, words) in round_keys.iter_mut().zip(w[..nw].chunks_exact(4)) {
+        for (i, word) in words.iter().enumerate() {
+            rk[4 * i..4 * i + 4].copy_from_slice(word);
+        }
+    }
+    round_keys
 }
 
 fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {

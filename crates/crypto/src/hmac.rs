@@ -29,13 +29,11 @@ pub fn hmac_sha512(key: &[u8], data: &[u8]) -> [u8; 64] {
         k[..key.len()].copy_from_slice(key);
     }
     let mut inner = Sha512::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    inner.update(&k.map(|b| b ^ 0x36));
     inner.update(data);
     let inner_digest = inner.finalize();
     let mut outer = Sha512::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
+    outer.update(&k.map(|b| b ^ 0x5c));
     outer.update(&inner_digest);
     outer.finalize()
 }
@@ -59,11 +57,9 @@ impl HmacSha256 {
             k[..key.len()].copy_from_slice(key);
         }
         let mut inner = Sha256::new();
-        let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-        inner.update(&ipad);
+        inner.update(&k.map(|b| b ^ 0x36));
         let mut outer = Sha256::new();
-        let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-        outer.update(&opad);
+        outer.update(&k.map(|b| b ^ 0x5c));
         HmacSha256 { inner, outer }
     }
 

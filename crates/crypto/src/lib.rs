@@ -32,6 +32,13 @@
 //! so the archival-system layers above have a real, breakable,
 //! swappable crypto substrate — not to protect production keys.
 //!
+//! The [`kernel`] module runs SHA-256 and AES-CTR on the host's SHA-NI and
+//! AES-NI instructions when present. The AES-NI path has no
+//! secret-indexed table lookups; the scalar AES tier (the fallback, and
+//! the only tier under `AEON_FORCE_KERNEL=scalar`) still indexes its
+//! S-box by key- and data-dependent bytes, so it leaks through cache
+//! timing.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,7 +51,8 @@
 //! assert_eq!(pt, b"plaintext");
 //! ```
 
-#![forbid(unsafe_code)]
+// The SHA-NI/AES-NI intrinsics in `hw` are the one `unsafe` island.
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod aead;
@@ -55,6 +63,9 @@ pub mod drbg;
 pub mod entropic;
 pub mod hkdf;
 pub mod hmac;
+#[cfg(target_arch = "x86_64")]
+mod hw;
+pub mod kernel;
 pub mod otp;
 pub mod poly1305;
 pub mod sha2;

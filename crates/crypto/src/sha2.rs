@@ -1,5 +1,7 @@
 //! SHA-256 and SHA-512 (FIPS 180-4).
 
+use crate::kernel::Sha256Kernel;
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Examples
@@ -19,9 +21,10 @@ pub struct Sha256 {
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
+    kernel: &'static Sha256Kernel,
 }
 
-const K256: [u32; 64] = [
+pub(crate) const K256: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -42,8 +45,15 @@ impl Sha256 {
     /// Digest length in bytes.
     pub const DIGEST_LEN: usize = 32;
 
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the process-wide [`Sha256Kernel::active`]
+    /// tier.
     pub fn new() -> Self {
+        Self::with_kernel(Sha256Kernel::active())
+    }
+
+    /// Creates a fresh hasher that compresses through `kernel` (every
+    /// tier yields the same digest; parity tests and benchmarks pick one).
+    pub fn with_kernel(kernel: &'static Sha256Kernel) -> Self {
         Sha256 {
             state: [
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -52,6 +62,7 @@ impl Sha256 {
             buf: [0; 64],
             buf_len: 0,
             total_len: 0,
+            kernel,
         }
     }
 
@@ -62,7 +73,8 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// Absorbs input bytes.
+    /// Absorbs input bytes. Whole blocks go to the kernel straight from
+    /// `data`; only a ragged head and tail pass through the buffer.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
@@ -70,85 +82,85 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            (self.kernel.blocks)(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let whole = data.len() / 64 * 64;
+        if whole > 0 {
+            (self.kernel.blocks)(&mut self.state, &data[..whole]);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        let rest = &data[whole..];
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
-    /// Finishes and returns the digest.
+    /// Finishes and returns the digest. Padding is written in one go and
+    /// compressed in a single kernel call (one block, or two when fewer
+    /// than 9 bytes of the last block are free).
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // update() has bumped total_len; padding length math uses buf_len.
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // neutralize further counting
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        let mut pad = [0u8; 128];
+        let n = self.buf_len;
+        pad[..n].copy_from_slice(&self.buf[..n]);
+        pad[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        pad[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+        (self.kernel.blocks)(&mut self.state, &pad[..len]);
         let mut out = [0u8; 32];
         for (i, s) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&s.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K256[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The scalar SHA-256 tier: compresses each 64-byte block of `blocks`
+/// into `state` in turn. The oracle every other tier must match.
+pub(crate) fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("64-byte block"));
+    }
+}
+
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K256[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -304,9 +316,7 @@ impl Sha512 {
             }
         }
         while data.len() >= 128 {
-            let mut block = [0u8; 128];
-            block.copy_from_slice(&data[..128]);
-            self.compress(&block);
+            self.compress(data[..128].try_into().expect("128-byte block"));
             data = &data[128..];
         }
         if !data.is_empty() {
@@ -315,16 +325,18 @@ impl Sha512 {
         }
     }
 
-    /// Finishes and returns the digest.
+    /// Finishes and returns the digest, writing the padding in one go.
     pub fn finalize(mut self) -> [u8; 64] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
+        let mut pad = [0u8; 256];
+        let n = self.buf_len;
+        pad[..n].copy_from_slice(&self.buf[..n]);
+        pad[n] = 0x80;
+        let len = if n < 112 { 128 } else { 256 };
+        pad[len - 16..len].copy_from_slice(&bit_len.to_be_bytes());
+        for block in pad[..len].chunks_exact(128) {
+            self.compress(block.try_into().expect("128-byte block"));
         }
-        let mut block = self.buf;
-        block[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
         let mut out = [0u8; 64];
         for (i, s) in self.state.iter().enumerate() {
             out[8 * i..8 * i + 8].copy_from_slice(&s.to_be_bytes());

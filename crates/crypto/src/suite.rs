@@ -173,8 +173,9 @@ impl BreakSchedule {
 /// serializable).
 #[derive(Debug, Clone)]
 pub enum SuiteCipher {
-    /// AES-256-CTR + HMAC.
-    Aes(Aes256CtrHmac),
+    /// AES-256-CTR + HMAC (boxed: its expanded key schedule and keyed
+    /// HMAC state make it ~15× the size of the ChaCha variant).
+    Aes(Box<Aes256CtrHmac>),
     /// ChaCha20-Poly1305.
     ChaCha(ChaCha20Poly1305),
 }
@@ -225,7 +226,7 @@ impl SuiteRegistry {
     /// which have their own key-material lifecycles.
     pub fn instantiate(&self, id: SuiteId, key: &[u8; 32]) -> Option<SuiteCipher> {
         match id {
-            SuiteId::Aes256CtrHmac => Some(SuiteCipher::Aes(Aes256CtrHmac::new(key))),
+            SuiteId::Aes256CtrHmac => Some(SuiteCipher::Aes(Box::new(Aes256CtrHmac::new(key)))),
             SuiteId::ChaCha20Poly1305 => Some(SuiteCipher::ChaCha(ChaCha20Poly1305::new(key))),
             SuiteId::OneTimePad | SuiteId::Entropic => None,
         }
